@@ -2,20 +2,27 @@
 
 GO ?= go
 
-.PHONY: all check build test test-race race-obs obs-overhead obs-overhead-run fuzz-smoke vet quick bench bench-quick bench-json bench-compare bench-search bench-search-run bench-search-write experiments cover clean docs-check serve verify-analytic load-check
+.PHONY: all check build test test-race race-obs obs-overhead obs-overhead-run fuzz-smoke vet vet-bench quick bench bench-quick bench-json bench-compare bench-search bench-search-run bench-search-write experiments cover clean docs-check serve verify-analytic load-check
 
 all: build vet test
 
-# Tier-1 gate: compile, vet, full test suite, race-enabled observability
-# and engine packages, documentation contract, analytic-backend accuracy
-# smoke.
-check: build vet test race-obs docs-check verify-analytic obs-overhead
+# Tier-1 gate: compile, vet (the repo and the benchmark module), full
+# test suite, race-enabled observability and engine packages,
+# documentation contract, analytic-backend accuracy smoke.
+check: build vet vet-bench test race-obs docs-check verify-analytic obs-overhead
 
 build:
 	$(GO) build ./...
 
 vet:
 	$(GO) vet ./...
+
+# The benchmark (perfbench/) is its own module that calls sim.Run*,
+# trace.Compile and the serve request types directly; building and
+# vetting it here catches an internal API change before the benchmark
+# pipeline does. It has no external dependencies, so it builds offline.
+vet-bench:
+	cd perfbench && GOFLAGS= GOPROXY=off $(GO) vet .
 
 test:
 	$(GO) test ./...
@@ -94,13 +101,15 @@ obs-overhead-run:
 	$(GO) run ./cmd/sccexplore -csv barnes-hut -scale quick -quiet -parallel 1 -obs on -manifest /tmp/sccsim_obs_on.json > /dev/null
 	$(GO) run ./cmd/benchcompare -threshold $(OBS_THRESHOLD) -severe-mult 10 /tmp/sccsim_obs_off.json /tmp/sccsim_obs_on.json
 
-# Seed-plus-30s coverage-guided fuzz of the two properties most worth
-# hammering: the verified simulator against the oracle model
-# (FuzzSimConfig) and the trace binary format round trip
+# Seed-plus-30s coverage-guided fuzz of the properties most worth
+# hammering: the verified simulator against the oracle model, under
+# phase replay (FuzzSimConfig) and the multiprogramming scheduler
+# (FuzzMultiprogConfig), and the trace binary format round trip
 # (FuzzTraceRoundTrip). Each target runs alone (go test allows one
 # -fuzz pattern per invocation).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSimConfig$$' -fuzztime 30s ./internal/sim
+	$(GO) test -run '^$$' -fuzz '^FuzzMultiprogConfig$$' -fuzztime 30s ./internal/sim
 	$(GO) test -run '^$$' -fuzz '^FuzzTraceRoundTrip$$' -fuzztime 30s ./internal/trace
 
 # Machine-readable sweep benchmark: quick-scale Barnes-Hut sweeps on

@@ -269,7 +269,6 @@ type wireSim struct {
 	MemBankOccupancy int    `json:"mem_bank_occupancy,omitempty"`
 	VictimEntries    int    `json:"victim_entries,omitempty"`
 	WarmupRefs       uint64 `json:"warmup_refs,omitempty"`
-	LegacyReplay     bool   `json:"legacy_replay,omitempty"`
 	Verify           bool   `json:"verify,omitempty"`
 }
 
@@ -297,7 +296,6 @@ func (c *HTTPCluster) encode(rp RemotePoint) ([]byte, error) {
 		MemBankOccupancy: rp.Sim.MemBankOccupancy,
 		VictimEntries:    rp.Sim.VictimEntries,
 		WarmupRefs:       rp.Sim.WarmupRefs,
-		LegacyReplay:     rp.Sim.LegacyReplay,
 		Verify:           rp.Verify,
 	}
 	if sim != (wireSim{}) {

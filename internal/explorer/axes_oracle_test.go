@@ -127,10 +127,9 @@ func TestOracleMatchesSimulatorAxisSamples(t *testing.T) {
 	}
 }
 
-// TestOracleMatchesSimulatorAxisSamplesMultiprog sweeps the shared-only
-// axis samples for the multiprogramming workload (line size,
-// associativity and replacement apply there; the private and hybrid
-// hierarchies do not).
+// TestOracleMatchesSimulatorAxisSamplesMultiprog sweeps the same axis
+// samples — every hierarchy included — for the multiprogramming
+// workload.
 func TestOracleMatchesSimulatorAxisSamplesMultiprog(t *testing.T) {
 	s := explorer.QuickScale()
 	refs := s.MultiprogRefs
@@ -144,13 +143,11 @@ func TestOracleMatchesSimulatorAxisSamplesMultiprog(t *testing.T) {
 		oprocs[i] = verify.Process{Name: p.Name, Refs: p.Refs}
 	}
 	for _, a := range axisSamples {
-		if a.hierarchy != sysmodel.HierarchyShared {
-			continue
-		}
 		cfg := sysmodel.Config{
 			Clusters: 1, ProcsPerCluster: 4, SCCBytes: sysmodel.SCCSizes[0],
 			LoadLatency: sysmodel.ImpliedLoadLatency(4),
 			LineBytes:   a.lineBytes, Assoc: a.assoc, Repl: a.repl,
+			Hierarchy: a.hierarchy, L1Bytes: a.l1Bytes,
 		}
 		res, err := sim.RunMultiprog(cfg, sim.Options{Verify: &verify.Options{}}, procs, quantum)
 		if err != nil {

@@ -109,7 +109,9 @@ func TestSharedBeatsPrivateOnParallelWorkloads(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		priv, err := sim.RunPrivate(cfg, sim.Options{}, prog)
+		pcfg := cfg
+		pcfg.Hierarchy = sysmodel.HierarchyPrivate
+		priv, err := sim.Run(pcfg, sim.Options{}, prog)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -4,6 +4,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+	"time"
 )
 
 func TestInstrumentHandlerCounts(t *testing.T) {
@@ -115,7 +116,13 @@ func TestInstrumentHandlerStreamedStatus(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	if got := reg.Counter("http.v1_sweep.status_2xx").Value(); got != 2 {
+	// The middleware records a request after the handler returns, which
+	// can be after the client has read the streamed body — poll.
+	ok2xx := reg.Counter("http.v1_sweep.status_2xx")
+	for deadline := time.Now().Add(5 * time.Second); ok2xx.Value() < 2 && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if got := ok2xx.Value(); got != 2 {
 		t.Errorf("status_2xx = %d, want 2 (implicit and explicit streamed statuses)", got)
 	}
 	if got := reg.Counter("http.v1_sweep.status_5xx").Value(); got != 0 {

@@ -106,19 +106,21 @@ func TestRequestIDEndToEnd(t *testing.T) {
 	}
 
 	// 4. The structured log lines are stamped with it: the request
-	// shell's start/finish lines and the job lifecycle lines. The finish
-	// line is written after the response body, so poll for it.
-	waitFor(t, func() bool { return strings.Contains(logs.String(), "request finish") })
-	out := logs.String()
+	// shell's start/finish lines for the POST route and the job
+	// lifecycle lines. The POST's finish line is written after the
+	// response body — possibly after the status GET's own finish line —
+	// so poll for that specific line, matched by route and ID.
 	stamp := fmt.Sprintf("%q:%q", "request_id", reqID)
+	route := fmt.Sprintf("%q:%q", "route", "POST /v1/sweep")
+	waitFor(t, func() bool { return findLogLine(logs.String(), "request finish", route, stamp) != "" })
+	out := logs.String()
 	for _, msg := range []string{"request start", "request finish", "job start", "job done", "sweep start", "sweep done"} {
-		line := findLogLine(out, msg)
-		if line == "" {
-			t.Errorf("no %q log line in:\n%s", msg, out)
-			continue
+		want := []string{stamp}
+		if strings.HasPrefix(msg, "request ") {
+			want = append(want, route)
 		}
-		if !strings.Contains(line, stamp) {
-			t.Errorf("%q line missing %s: %s", msg, stamp, line)
+		if findLogLine(out, msg, want...) == "" {
+			t.Errorf("no %q log line with %s in:\n%s", msg, strings.Join(want, " and "), out)
 		}
 	}
 
@@ -152,10 +154,18 @@ func TestRequestIDEndToEnd(t *testing.T) {
 	}
 }
 
-// findLogLine returns the first JSON log line whose msg field matches.
-func findLogLine(out, msg string) string {
+// findLogLine returns the first JSON log line whose msg field matches
+// and which contains every want substring.
+func findLogLine(out, msg string, want ...string) string {
 	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, fmt.Sprintf(`"msg":%q`, msg)) {
+		if !strings.Contains(line, fmt.Sprintf(`"msg":%q`, msg)) {
+			continue
+		}
+		ok := true
+		for _, w := range want {
+			ok = ok && strings.Contains(line, w)
+		}
+		if ok {
 			return line
 		}
 	}

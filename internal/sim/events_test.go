@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 
 	"sccsim/internal/mem"
@@ -116,41 +117,72 @@ func TestTracerLockEvents(t *testing.T) {
 	}
 }
 
-// TestTracerDoesNotPerturbSimulation: the traced run must produce
-// byte-identical results to the untraced run.
+// TestTracerDoesNotPerturbSimulation: in every hierarchy the traced
+// run must produce byte-identical results to the untraced run, and every
+// event must land on a valid track — bus events on the requesting
+// processor's cluster bus, also when the bus agent is a private cache.
 func TestTracerDoesNotPerturbSimulation(t *testing.T) {
 	mk := func() *trace.Program {
-		var s0, s1 []mem.Ref
-		for i := uint32(0); i < 200; i++ {
-			s0 = append(s0, rd(0x1000+i*32, uint16(i%5)))
-			s1 = append(s1, wr(0x9000+i*64, uint16(i%3)))
+		streams := make([][]mem.Ref, 4)
+		for p := range streams {
+			// Imbalanced: processor p issues 100*(p+1) references.
+			for i := uint32(0); i < 100*uint32(p+1); i++ {
+				if p%2 == 0 {
+					streams[p] = append(streams[p], rd(0x1000+i*32, uint16(i%5)))
+				} else {
+					streams[p] = append(streams[p], wr(0x1000+i*64, uint16(i%3)))
+				}
+			}
 		}
-		return &trace.Program{Name: "perturb", Procs: 2,
-			Phases: []trace.Phase{{Name: "p0", Streams: [][]mem.Ref{s0, s1}}}}
+		return &trace.Program{Name: "perturb", Procs: 4,
+			Phases: []trace.Phase{{Name: "p0", Streams: streams}}}
 	}
-	cfg := sysmodel.Config{
-		Clusters: 2, ProcsPerCluster: 1, SCCBytes: 4096,
-		LoadLatency: 2, Assoc: 1,
-	}
-	plain, err := Run(cfg, Options{}, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &recorder{}
-	traced, err := Run(cfg, Options{Tracer: rec, Metrics: obs.NewRegistry()}, mk())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plain.Cycles != traced.Cycles || plain.Refs != traced.Refs {
-		t.Errorf("traced run diverged: cycles %d vs %d, refs %d vs %d",
-			plain.Cycles, traced.Cycles, plain.Refs, traced.Refs)
-	}
-	if len(rec.events) == 0 {
-		t.Error("tracer saw no events")
-	}
-	// Barrier waits appear for the processor that finishes early.
-	if rec.byKind[EvBarrierWait] == 0 {
-		t.Error("no barrier-wait events in an imbalanced two-proc run")
+	for _, h := range []string{sysmodel.HierarchyShared, sysmodel.HierarchyPrivate, sysmodel.HierarchyHybrid} {
+		cfg := sysmodel.Config{
+			Clusters: 2, ProcsPerCluster: 2, SCCBytes: 4096,
+			LoadLatency: 3, Assoc: 1, Hierarchy: h,
+		}
+		if h == sysmodel.HierarchyHybrid {
+			cfg.L1Bytes = 512
+		}
+		plain, err := Run(cfg, Options{}, mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := &recorder{}
+		traced, err := Run(cfg, Options{Tracer: rec, Metrics: obs.NewRegistry()}, mk())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(plain, traced) {
+			t.Errorf("%s: traced run diverged: cycles %d vs %d, refs %d vs %d",
+				h, plain.Cycles, traced.Cycles, plain.Refs, traced.Refs)
+		}
+		if len(rec.events) == 0 {
+			t.Errorf("%s: tracer saw no events", h)
+		}
+		// Barrier waits appear for the processors that finish early.
+		if rec.byKind[EvBarrierWait] == 0 {
+			t.Errorf("%s: no barrier-wait events in an imbalanced run", h)
+		}
+		if rec.byKind[EvBusFetch] != traced.Snoop.Fetches {
+			t.Errorf("%s: bus-fetch events = %d, snoop stats say %d",
+				h, rec.byKind[EvBusFetch], traced.Snoop.Fetches)
+		}
+		procs := int32(cfg.Procs())
+		for _, e := range rec.events {
+			switch EventKind(e.Kind) {
+			case EvBusFetch, EvBusInvalidate, EvBusWriteBack:
+				if e.Track < procs || e.Track >= procs+int32(cfg.Clusters) {
+					t.Fatalf("%s: %s on track %d, want a cluster bus track in [%d, %d)",
+						h, EventKind(e.Kind), e.Track, procs, procs+int32(cfg.Clusters))
+				}
+			default:
+				if e.Track < 0 || e.Track >= procs {
+					t.Fatalf("%s: %s on track %d, want a processor track", h, EventKind(e.Kind), e.Track)
+				}
+			}
+		}
 	}
 }
 

@@ -35,36 +35,29 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 	if quantum == 0 {
 		return nil, fmt.Errorf("sim: zero scheduler quantum")
 	}
-	if h := cfg.HierarchyKind(); h != sysmodel.HierarchyShared {
-		return nil, fmt.Errorf("sim: hierarchy %q is not supported for multiprogramming workloads; use the default shared hierarchy", h)
-	}
 	nproc := cfg.Procs()
 	s, err := newSystem(cfg, opts, nproc)
 	if err != nil {
 		return nil, err
 	}
+	// Size the flat presence table from the workload's footprint and
+	// count the non-idle references the verifier expects; one linear
+	// pass over the streams is negligible against the run.
 	var expRefs uint64
-	if !opts.LegacyReplay || s.ck != nil {
-		// Size the flat presence table from the workload's footprint (and
-		// count the non-idle references the verifier expects); one linear
-		// pass over the streams is negligible against the run.
-		var maxLine uint32
-		shift := cfg.LineShift()
-		for i := range processes {
-			for _, r := range processes[i].Refs {
-				if r.Kind == mem.Idle {
-					continue
-				}
-				expRefs++
-				if li := r.Addr >> shift; li > maxLine {
-					maxLine = li
-				}
+	var maxLine uint32
+	shift := cfg.LineShift()
+	for i := range processes {
+		for _, r := range processes[i].Refs {
+			if r.Kind == mem.Idle {
+				continue
+			}
+			expRefs++
+			if li := r.Addr >> shift; li > maxLine {
+				maxLine = li
 			}
 		}
-		if !opts.LegacyReplay {
-			s.bus.ReserveLines(maxLine + 1)
-		}
 	}
+	s.bus.ReserveLines(maxLine + 1)
 
 	// Per-process progress.
 	pos := make([]int, len(processes))
@@ -213,14 +206,7 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 			s.res.BarrierWait[p] += maxT - idleSince[p]
 		}
 	}
-	s.finish(clock)
-	s.flushMetrics()
-	if s.ck != nil {
-		if err := s.verifyFinish(expRefs); err != nil {
-			return nil, err
-		}
-	}
-	return s.res, nil
+	return s.result(clock, expRefs)
 }
 
 // emitSwitch traces a context switch on processor p at time t.

@@ -6,6 +6,7 @@ import (
 	"sccsim/internal/mem"
 	"sccsim/internal/sysmodel"
 	"sccsim/internal/trace"
+	"sccsim/internal/verify"
 )
 
 func TestRunPrivateRejectsBadInput(t *testing.T) {
@@ -150,23 +151,7 @@ func TestPrivateWriteBufferStalls(t *testing.T) {
 
 func TestPrivateDeterminism(t *testing.T) {
 	cfg := sysmodel.Config{Clusters: 2, ProcsPerCluster: 2, SCCBytes: 8192, LoadLatency: 3, Assoc: 1}
-	mk := func() *trace.Program {
-		streams := make([][]mem.Ref, 4)
-		for p := 0; p < 4; p++ {
-			for i := 0; i < 300; i++ {
-				k := mem.Read
-				if (i+p)%4 == 0 {
-					k = mem.Write
-				}
-				streams[p] = append(streams[p], mem.Ref{
-					Addr: 0x10000 + uint32((i*5+p*3)%128)*sysmodel.LineSize,
-					Kind: k, Gap: uint16(i % 5),
-				})
-			}
-		}
-		return &trace.Program{Name: "det", Procs: 4,
-			Phases: []trace.Phase{{Name: "x", Streams: streams}}}
-	}
+	mk := sharingProg4
 	a, err := RunPrivate(cfg, Options{}, mk())
 	if err != nil {
 		t.Fatal(err)
@@ -178,4 +163,60 @@ func TestPrivateDeterminism(t *testing.T) {
 	if a.Cycles != b.Cycles || a.Snoop.Invalidations != b.Snoop.Invalidations {
 		t.Error("RunPrivate not deterministic")
 	}
+}
+
+// TestPrivateWarmupExcludesStatistics: the private hierarchy honours
+// Options.WarmupRefs like every other — the first N references are
+// excluded from the statistics while timing is untouched.
+func TestPrivateWarmupExcludesStatistics(t *testing.T) {
+	cfg := sysmodel.Config{Clusters: 2, ProcsPerCluster: 2, SCCBytes: 8192, LoadLatency: 3, Assoc: 1}
+	p := sharingProg4()
+	plain, err := RunPrivate(cfg, Options{}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 500
+	warm, err := RunPrivate(cfg, Options{WarmupRefs: n, Verify: &verify.Options{}}, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if warm.WarmupExcluded != n {
+		t.Errorf("WarmupExcluded = %d, want %d", warm.WarmupExcluded, n)
+	}
+	if warm.Cycles != plain.Cycles || warm.Refs != plain.Refs {
+		t.Errorf("warmup changed timing: cycles %d vs %d, refs %d vs %d",
+			warm.Cycles, plain.Cycles, warm.Refs, plain.Refs)
+	}
+	ps, ws := plain.AggregateSCC(), warm.AggregateSCC()
+	// Every reference here is one plain cache access.
+	if got, want := ws.TotalAccesses(), ps.TotalAccesses()-n; got != want {
+		t.Errorf("post-warmup accesses = %d, want %d", got, want)
+	}
+	if ws.TotalMisses() >= ps.TotalMisses() || warm.Snoop.Fetches >= plain.Snoop.Fetches {
+		t.Errorf("warmup did not reduce misses (%d vs %d) or fetches (%d vs %d)",
+			ws.TotalMisses(), ps.TotalMisses(), warm.Snoop.Fetches, plain.Snoop.Fetches)
+	}
+	if warm.TotalReadStall() >= plain.TotalReadStall() {
+		t.Errorf("warmup did not reduce read stall: %d vs %d", warm.TotalReadStall(), plain.TotalReadStall())
+	}
+}
+
+// sharingProg4 is a four-processor program of reads and writes over a
+// shared 128-line footprint.
+func sharingProg4() *trace.Program {
+	streams := make([][]mem.Ref, 4)
+	for p := 0; p < 4; p++ {
+		for i := 0; i < 300; i++ {
+			k := mem.Read
+			if (i+p)%4 == 0 {
+				k = mem.Write
+			}
+			streams[p] = append(streams[p], mem.Ref{
+				Addr: 0x10000 + uint32((i*5+p*3)%128)*sysmodel.LineSize,
+				Kind: k, Gap: uint16(i % 5),
+			})
+		}
+	}
+	return &trace.Program{Name: "det", Procs: 4,
+		Phases: []trace.Phase{{Name: "x", Streams: streams}}}
 }

@@ -2,7 +2,9 @@
 // of the reproduction (Section 2.2.2 of the paper). It replays a
 // trace.Program on a configured system — clusters of processors sharing
 // banked SCCs, kept coherent over a snoopy invalidation bus — and accounts
-// execution time per processor.
+// execution time per processor. The same machine, with a per-processor
+// private cache or a write-through L1 front end in place of or in front
+// of the SCC, models the other cluster organizations (hierarchy.go).
 //
 // Timing model (matching the paper's stated assumptions):
 //
@@ -46,8 +48,9 @@ import (
 // Options tunes simulator behaviour beyond the architectural Config.
 // The zero value is the paper's model.
 type Options struct {
-	// WriteBufferDepth is the number of outstanding writes a cluster can
-	// have before further writes stall. 0 means the default of 8.
+	// WriteBufferDepth is the number of outstanding writes a cluster (a
+	// processor, with private caches) can have before further writes
+	// stall. 0 means the default of 8.
 	// Negative means an infinite write buffer.
 	WriteBufferDepth int
 	// BusOccupancy, when positive, makes each bus transaction hold the
@@ -93,17 +96,9 @@ type Options struct {
 	// default) disables verification at near-zero cost — the same
 	// nil-disabled contract as Tracer and Metrics.
 	Verify *verify.Options
-	// LegacyReplay, when true, bypasses the compiled-trace execution path:
-	// the program is re-validated per run, replay iterates the Program's
-	// own stream slices, and the coherence bus keeps its paged presence
-	// table instead of the direct-indexed one. Results are byte-identical
-	// either way (the differential test in internal/explorer runs the full
-	// design grid both ways); this is a debugging escape hatch and the
-	// reference the differential test compares against.
-	LegacyReplay bool
 }
 
-// DefaultWriteBufferDepth is the per-cluster write-buffer depth used when
+// DefaultWriteBufferDepth is the per-agent write-buffer depth used when
 // Options.WriteBufferDepth is zero.
 const DefaultWriteBufferDepth = 8
 
@@ -216,30 +211,43 @@ func (lt *lockTable) holder(addr uint32) (int, bool) {
 func (lt *lockTable) acquire(addr uint32, p int) { lt.held[addr] = p }
 func (lt *lockTable) release(addr uint32)        { delete(lt.held, addr) }
 
-// system is the assembled machine for one run.
+// system is the assembled machine for one run. Every hierarchy is the
+// same machine, built from data (the oracle in internal/verify mirrors
+// its shape):
+//
+//   - agent[p] maps processor p to its bus agent — the cache the
+//     coherence bus, the write buffers, the checker and the per-cache
+//     statistics are indexed by. In the shared and hybrid hierarchies it
+//     is p's cluster SCC; in the private hierarchy it is p's own cache.
+//   - The back end is a banked SCC per cluster (sccs) or an unbanked
+//     private cache per processor (private); exactly one is non-nil.
+//   - The hybrid hierarchy adds an optional per-processor L1 front end
+//     (l1) that filters read hits before the back end.
 type system struct {
 	cfg  sysmodel.Config
 	opts Options
-	sccs []*scc.SCC
-	bus  *snoop.Bus
-	// wbPending[c] holds completion times of cluster c's in-flight
-	// buffered writes, a FIFO ring (issue times are non-decreasing).
+	// agent[p] is processor p's bus agent, precomputed so the per-ref hot
+	// path indexes a table instead of dividing by ProcsPerCluster.
+	agent []int32
+	// sccs[a] is cluster a's banked SCC (shared and hybrid hierarchies),
+	// private[a] processor a's private cache (private hierarchy).
+	sccs    []*scc.SCC
+	private []*cache.Cache
+	// l1[p] and l1Stats[p] are processor p's write-through L1 and its
+	// statistics (hybrid hierarchy only; nil otherwise).
+	l1      []*cache.Cache
+	l1Stats []cache.Stats
+	bus     *snoop.Bus
+	// wbPending[a] holds completion times of agent a's in-flight buffered
+	// writes, a FIFO ring (issue times are non-decreasing): one buffer per
+	// cluster, or per processor in the private hierarchy.
 	wbPending [][]uint64
 	wbHead    []int
 	locks     *lockTable
 	res       *Result
-	// cluster[p] is processor p's cluster, precomputed so the per-ref hot
-	// path indexes a table instead of dividing by ProcsPerCluster.
-	cluster []int32
-	// fastTags[c] is cluster c's tag store when its SCC qualifies for the
+	// fastTags[a] is agent a's tag store when its SCC qualifies for the
 	// fused direct-mapped access path (scc.DirectTags), nil otherwise.
 	fastTags []*cache.Cache
-
-	// onSCCEvict, when non-nil, observes every line evicted from a
-	// cluster's SCC before the bus is notified — the hybrid hierarchy's
-	// inclusion seam (back-invalidating the cluster's L1 copies). nil
-	// (the default) costs the hot path one branch per eviction.
-	onSCCEvict func(cluster int, lineIndex uint32)
 
 	// Instrumentation (all nil when disabled; every use is behind a
 	// nil check so the uninstrumented hot path pays only the branch).
@@ -255,52 +263,94 @@ func newSystem(cfg sysmodel.Config, opts Options, procs int) (*system, error) {
 		return nil, err
 	}
 	s := &system{cfg: cfg, opts: opts}
-	invs := make([]snoop.Invalidator, cfg.Clusters)
-	s.sccs = make([]*scc.SCC, cfg.Clusters)
-	for i := range s.sccs {
-		sc, err := scc.NewWith(cfg.SCCBytes, cfg.Assoc, cfg.Banks(), cfg.Line(), cfg.ReplPolicy())
-		if err != nil {
-			return nil, err
-		}
-		if opts.VictimEntries > 0 {
-			sc.EnableVictimBuffer(opts.VictimEntries)
-		}
-		s.sccs[i] = sc
-		invs[i] = sc
+	hier := cfg.HierarchyKind()
+	ppc := cfg.ProcsPerCluster
+	s.agent = make([]int32, procs)
+	for p := range s.agent {
+		s.agent[p] = int32(p / ppc)
 	}
+
+	var invs []snoop.Invalidator
+	var cls []verify.Cluster
+	if hier == sysmodel.HierarchyPrivate {
+		// One cache of SCCBytes/ProcsPerCluster per processor (equal total
+		// capacity per cluster), each its own bus agent.
+		if procs > 32 {
+			return nil, fmt.Errorf("sim: private-cache mode supports at most 32 caches, config has %d", procs)
+		}
+		s.private = make([]*cache.Cache, procs)
+		for p := range s.private {
+			c, err := cache.NewWith(cfg.SCCBytes/ppc, cfg.Assoc, cfg.Line(), cfg.ReplPolicy())
+			if err != nil {
+				return nil, fmt.Errorf("sim: private cache: %w", err)
+			}
+			s.private[p] = c
+			s.agent[p] = int32(p)
+			invs = append(invs, c)
+			cls = append(cls, c)
+		}
+	} else {
+		s.sccs = make([]*scc.SCC, cfg.Clusters)
+		for i := range s.sccs {
+			sc, err := scc.NewWith(cfg.SCCBytes, cfg.Assoc, cfg.Banks(), cfg.Line(), cfg.ReplPolicy())
+			if err != nil {
+				return nil, err
+			}
+			if opts.VictimEntries > 0 {
+				sc.EnableVictimBuffer(opts.VictimEntries)
+			}
+			s.sccs[i] = sc
+			invs = append(invs, sc)
+			cls = append(cls, sc)
+		}
+	}
+	agents := len(invs)
 	s.bus = snoop.New(invs)
 	s.bus.SetLineBytes(cfg.Line())
 	s.bus.Occupancy = opts.BusOccupancy
 	s.bus.MemBanks = opts.MemBanks
 	s.bus.MemBankOccupancy = opts.MemBankOccupancy
-	s.wbPending = make([][]uint64, cfg.Clusters)
-	s.wbHead = make([]int, cfg.Clusters)
+	s.wbPending = make([][]uint64, agents)
+	s.wbHead = make([]int, agents)
 	s.locks = newLockTable()
-	s.cluster = make([]int32, procs)
-	for p := 0; p < procs; p++ {
-		s.cluster[p] = int32(p / cfg.ProcsPerCluster)
-	}
-	s.fastTags = make([]*cache.Cache, cfg.Clusters)
+	s.fastTags = make([]*cache.Cache, agents)
 	for i, sc := range s.sccs {
 		s.fastTags[i] = sc.DirectTags()
 	}
+	// cluster[a] is bus agent a's cluster.
+	cluster := make([]int, agents)
+	for a := range cluster {
+		cluster[a] = a
+		if s.private != nil {
+			cluster[a] = a / ppc
+		}
+	}
+	if s.private != nil {
+		// Misses served by a same-cluster cache cross the fast
+		// intra-cluster bus.
+		s.bus.GroupOf = cluster
+		s.bus.IntraLatency = IntraClusterLatency
+	}
+	if hier == sysmodel.HierarchyHybrid {
+		if err := s.attachL1(); err != nil {
+			return nil, err
+		}
+	}
 
 	if opts.Verify != nil {
-		cls := make([]verify.Cluster, len(s.sccs))
-		for i, sc := range s.sccs {
-			cls[i] = sc
-		}
-		s.ck = verify.NewChecker(opts.Verify, s.bus, cls, opts.VictimEntries > 0)
+		// With private caches each cache stands in as a "cluster": the
+		// bus indexes presence per agent.
+		s.ck = verify.NewChecker(opts.Verify, s.bus, cls, opts.VictimEntries > 0 && s.sccs != nil)
 		s.ck.SetLineBytes(cfg.Line())
 		s.bus.Verifier = s.ck
 	}
 
 	s.tr = opts.Tracer
 	if s.tr != nil {
-		// Bus transactions land on the requesting cluster's bus track,
-		// laid out after the processor tracks.
+		// Bus transactions land on the requesting agent's cluster bus
+		// track, laid out after the processor tracks.
 		tr := s.tr
-		s.bus.Hook = func(kind snoop.TxnKind, start, dur uint64, cluster int, addr uint32) {
+		s.bus.Hook = func(kind snoop.TxnKind, start, dur uint64, agent int, addr uint32) {
 			var k EventKind
 			switch kind {
 			case snoop.TxnFetch:
@@ -310,7 +360,7 @@ func newSystem(cfg sysmodel.Config, opts Options, procs int) (*system, error) {
 			default:
 				k = EvBusWriteBack
 			}
-			tr.Emit(obs.Event{TS: start, Dur: dur, Track: busTrack(procs, cluster),
+			tr.Emit(obs.Event{TS: start, Dur: dur, Track: busTrack(procs, cluster[agent]),
 				Kind: uint8(k), Addr: addr})
 		}
 	}
@@ -332,14 +382,11 @@ func newSystem(cfg sysmodel.Config, opts Options, procs int) (*system, error) {
 		BankStall:   make([]uint64, procs),
 		BarrierWait: make([]uint64, procs),
 		LockStall:   make([]uint64, procs),
-		SCC:         make([]*cache.Stats, cfg.Clusters),
-		SCCBank:     make([]*scc.Stats, cfg.Clusters),
+		SCC:         make([]*cache.Stats, agents),
+		SCCBank:     make([]*scc.Stats, agents),
 	}
 	return s, nil
 }
-
-// clusterOf maps a processor index to its cluster.
-func (s *system) clusterOf(p int) int { return int(s.cluster[p]) }
 
 // warmupReset clears the statistics accumulated so far; replay invokes
 // it exactly once, immediately after the Options.WarmupRefs'th reference
@@ -348,6 +395,12 @@ func (s *system) warmupReset() {
 	for _, sc := range s.sccs {
 		*sc.CacheStats() = cache.Stats{}
 		sc.ResetStats()
+	}
+	for _, c := range s.private {
+		*c.Stats() = cache.Stats{}
+	}
+	for p := range s.l1Stats {
+		s.l1Stats[p] = cache.Stats{}
 	}
 	*s.bus.Stats() = snoop.Stats{}
 	for p := range s.res.ReadStall {
@@ -370,8 +423,10 @@ func (s *system) access(p int, now uint64, r mem.Ref) (uint64, bool) {
 	switch r.Kind {
 	case mem.Lock:
 		// Test-and-test-and-set: spin reading the cached lock word until
-		// it is free, then claim it with an atomic write.
-		t := s.memAccess(p, now, r.Addr, mem.Read)
+		// it is free, then claim it with an atomic write. In the hybrid
+		// hierarchy the spins hit the L1 copy until the holder's release
+		// write invalidates it.
+		t := s.ref(p, now, r.Addr, mem.Read)
 		if holder, held := s.locks.holder(r.Addr); held && holder != p {
 			s.res.LockSpins++
 			s.res.LockStall[p] += SpinInterval
@@ -381,50 +436,64 @@ func (s *system) access(p int, now uint64, r mem.Ref) (uint64, bool) {
 			}
 			return t + SpinInterval, true
 		}
-		t = s.memAccess(p, t, r.Addr, mem.Write)
+		t = s.ref(p, t, r.Addr, mem.Write)
 		s.locks.acquire(r.Addr, p)
 		if s.tr != nil {
 			s.tr.Emit(obs.Event{TS: t, Track: int32(p), Kind: uint8(EvLockAcquire), Addr: r.Addr})
 		}
 		return t, false
 	case mem.Unlock:
-		t := s.memAccess(p, now, r.Addr, mem.Write)
+		t := s.ref(p, now, r.Addr, mem.Write)
 		s.locks.release(r.Addr)
 		if s.tr != nil {
 			s.tr.Emit(obs.Event{TS: t, Track: int32(p), Kind: uint8(EvLockRelease), Addr: r.Addr})
 		}
 		return t, false
 	default:
+		// ref, spelled out: it is over the inlining budget, and the plain
+		// load/store is the per-reference hot path.
+		if s.l1 != nil {
+			return s.l1Access(p, now, r.Addr, r.Kind), false
+		}
 		return s.memAccess(p, now, r.Addr, r.Kind), false
 	}
 }
 
-// memAccess performs a plain load or store through the cluster's SCC.
+// ref performs a plain load or store: through processor p's L1 front end
+// when the hierarchy has one, else straight to its bus agent.
+func (s *system) ref(p int, now uint64, addr uint32, kind mem.Kind) uint64 {
+	if s.l1 != nil {
+		return s.l1Access(p, now, addr, kind)
+	}
+	return s.memAccess(p, now, addr, kind)
+}
+
+// memAccess performs a plain load or store through processor p's bus
+// agent: its cluster's SCC, or its private cache.
 func (s *system) memAccess(p int, now uint64, addr uint32, kind mem.Kind) uint64 {
-	c := s.clusterOf(p)
-	sc := s.sccs[c]
+	a := int(s.agent[p])
 	if s.ck != nil {
 		// Shadow-count the access so FinishRun can assert the tag store
 		// accounted every access exactly once (hits + misses == accesses).
-		s.ck.OnAccess(c)
+		s.ck.OnAccess(a)
 	}
-	if tags := s.fastTags[c]; tags != nil {
+	if tags := s.fastTags[a]; tags != nil {
 		// Fused fast path for the paper's SCC configuration
 		// (direct-mapped, no victim buffer): bank arbitration and tag
 		// probe inline — an ordinary hit runs call-free instead of
 		// threading a Result struct through two layers. Semantically
-		// identical to the general path below; the differential test
-		// pins that.
-		t := sc.BankStart(now, addr)
+		// identical to the general path below; the oracle diffs pin
+		// that.
+		t := s.sccs[a].BankStart(now, addr)
 		if t != now {
 			s.bankStallAt(p, now, t-now, addr)
 		}
 		if tags.HitDM(addr, kind) {
-			if kind == mem.Write && s.bus.MaybeShared(addr, c) {
+			if kind == mem.Write && s.bus.MaybeShared(addr, a) {
 				// Write hit to a possibly-shared line: invalidate other
 				// clusters' copies. The MaybeShared probe keeps the common
 				// private-line write hit call-free.
-				s.bus.WriteShared(t, c, addr)
+				s.bus.WriteShared(t, a, addr)
 			}
 			if s.tr != nil {
 				s.emitHit(p, t, addr, kind)
@@ -432,25 +501,34 @@ func (s *system) memAccess(p int, now uint64, addr uint32, kind mem.Kind) uint64
 			return t
 		}
 		cr := tags.MissDM(addr, kind)
-		return s.missFrom(p, c, t, addr, kind, cr.Evicted, cr.EvictedDirty)
+		return s.missFrom(p, a, t, addr, kind, cr.Evicted, cr.EvictedDirty)
 	}
 
-	ar := sc.Access(now, addr, kind)
-	if wait := ar.Wait(now); wait > 0 {
-		s.bankStallAt(p, now, wait, addr)
+	// General path: a private cache is unbanked, so its access starts at
+	// once; an SCC arbitrates its bank first.
+	t := now
+	var cr cache.Result
+	if s.private != nil {
+		cr = s.private[a].Access(addr, kind)
+	} else {
+		ar := s.sccs[a].Access(now, addr, kind)
+		if wait := ar.Wait(now); wait > 0 {
+			s.bankStallAt(p, now, wait, addr)
+		}
+		t = ar.Start
+		cr = cache.Result{Hit: ar.Hit, Evicted: ar.Evicted, EvictedDirty: ar.EvictedDirty}
 	}
-	t := ar.Start
-	if ar.Hit {
+	if cr.Hit {
 		if kind == mem.Write {
-			// Write hit: invalidate other clusters' copies if shared.
-			s.bus.WriteShared(t, c, addr)
+			// Write hit: invalidate other agents' copies if shared.
+			s.bus.WriteShared(t, a, addr)
 		}
 		if s.tr != nil {
 			s.emitHit(p, t, addr, kind)
 		}
 		return t
 	}
-	return s.missFrom(p, c, t, addr, kind, ar.Evicted, ar.EvictedDirty)
+	return s.missFrom(p, a, t, addr, kind, cr.Evicted, cr.EvictedDirty)
 }
 
 // bankStallAt accounts a bank-arbitration wait for processor p.
@@ -465,7 +543,7 @@ func (s *system) bankStallAt(p int, now, wait uint64, addr uint32) {
 	}
 }
 
-// emitHit traces an SCC hit event.
+// emitHit traces a cache hit event.
 func (s *system) emitHit(p int, t uint64, addr uint32, kind mem.Kind) {
 	k := EvReadHit
 	if kind == mem.Write {
@@ -474,23 +552,26 @@ func (s *system) emitHit(p int, t uint64, addr uint32, kind mem.Kind) {
 	s.tr.Emit(obs.Event{TS: t, Track: int32(p), Kind: uint8(k), Addr: addr})
 }
 
-// missFrom completes a miss whose bank service started at t: eviction
+// missFrom completes agent a's miss whose service started at t: eviction
 // notice, bus fetch, and read-stall or write-buffer accounting.
-func (s *system) missFrom(p, c int, t uint64, addr uint32, kind mem.Kind,
+func (s *system) missFrom(p, a int, t uint64, addr uint32, kind mem.Kind,
 	evicted uint32, evictedDirty bool) uint64 {
 
 	if evicted != cache.EvictedNone {
-		if s.onSCCEvict != nil {
-			s.onSCCEvict(c, evicted)
+		if s.l1 != nil {
+			// Inclusion: the line leaves the cluster's L1s before the bus
+			// learns of it, so a bus-level probe never finds an L1-only
+			// copy.
+			s.invalidateL1(a, evicted<<s.cfg.LineShift(), -1)
 		}
-		s.bus.Evicted(t, c, evicted, evictedDirty)
+		s.bus.Evicted(t, a, evicted, evictedDirty)
 	}
 	// Fetch over the bus. The refill's own bank cycle is not modeled as
 	// future bank occupancy: the bank-free time is a scalar "busy until",
 	// and reserving it through the whole 100-cycle fetch would wrongly
 	// block the bank during the fetch (the SCC is non-blocking). The one
 	// refill cycle is negligible against the 100-cycle transfer.
-	ready := s.bus.Fetch(t, c, addr, kind)
+	ready := s.bus.Fetch(t, a, addr, kind)
 	if kind == mem.Read {
 		s.res.ReadStall[p] += ready - t
 		if s.tr != nil {
@@ -506,15 +587,16 @@ func (s *system) missFrom(p, c int, t uint64, addr uint32, kind mem.Kind,
 	if s.tr != nil {
 		s.tr.Emit(obs.Event{TS: t, Track: int32(p), Kind: uint8(EvWriteMiss), Addr: addr})
 	}
-	return s.bufferWrite(p, c, t, ready)
+	return s.bufferWrite(p, a, t, ready)
 }
 
-// bufferWrite records a buffered write completing at ready and returns the
-// processor-visible completion time (now, unless the buffer is full).
-func (s *system) bufferWrite(p, c int, now, ready uint64) uint64 {
+// bufferWrite records a write through agent a completing at ready and
+// returns processor p's visible completion time (now, unless a's buffer
+// is full).
+func (s *system) bufferWrite(p, a int, now, ready uint64) uint64 {
 	depth := s.opts.wbDepth()
-	pend := s.wbPending[c]
-	head := s.wbHead[c]
+	pend := s.wbPending[a]
+	head := s.wbHead[a]
 	// Drop entries that completed by now.
 	for head < len(pend) && pend[head] <= now {
 		head++
@@ -538,8 +620,8 @@ func (s *system) bufferWrite(p, c int, now, ready uint64) uint64 {
 		head++
 	}
 	pend = append(pend, ready)
-	s.wbPending[c] = pend
-	s.wbHead[c] = head
+	s.wbPending[a] = pend
+	s.wbHead[a] = head
 	return now
 }
 
@@ -643,10 +725,10 @@ func (s *sched) isMin(p int, t uint64) bool {
 
 // replay drives barrier-delimited phase streams through an access
 // function in global issue order, handling barriers and accounting into
-// res. phases is the per-phase, per-processor stream table — a compiled
-// program's arena views or a legacy Program's own slices; replay is
-// agnostic. The access function performs one memory reference for a
-// processor at a time and returns when the processor may proceed.
+// res. phases is the per-phase, per-processor stream table (a compiled
+// program's arena views). The access function performs one memory
+// reference for a processor at a time and returns when the processor
+// may proceed.
 // warmupAt, when nonzero, invokes reset exactly once, immediately after
 // the warmupAt'th reference completes. A non-nil tracer receives a
 // barrier-wait event per processor per phase.
@@ -771,51 +853,22 @@ func replay1(phases [][][]mem.Ref, res *Result, warmupAt uint64, reset func(),
 	return []uint64{now}
 }
 
-// programPhases resolves a program into the stream table replay consumes.
-// The default path compiles the program (validation and arena packing
-// happen once per Program, memoized — not once per run) and returns the
-// compiled form so Run can size the flat presence table; under
-// Options.LegacyReplay it returns the raw per-phase slices with a fresh
-// validation and a nil Compiled.
-func programPhases(prog *trace.Program, opts Options) ([][][]mem.Ref, *trace.Compiled, error) {
-	if opts.LegacyReplay {
-		if err := prog.Validate(); err != nil {
-			return nil, nil, err
-		}
-		phases := make([][][]mem.Ref, len(prog.Phases))
-		for i := range prog.Phases {
-			phases[i] = prog.Phases[i].Streams
-		}
-		return phases, nil, nil
-	}
-	c, err := trace.Compile(prog)
-	if err != nil {
-		return nil, nil, err
-	}
-	return c.Streams, c, nil
-}
-
-// Run simulates a parallel program on the configured system. The program
+// Run simulates a parallel program on the configured system; the
+// hierarchy axis (cfg.Hierarchy) selects the paper's shared SCC,
+// per-processor private caches, or the two-level hybrid. The program
 // must have exactly cfg.Procs() streams per phase. Run never mutates
 // prog, so concurrent Runs may share one Program (see the package
 // comment's concurrency contract); the compiled form a Run memoizes on
-// the program (trace.Compile) is itself immutable and shared the same
-// way.
+// the program (trace.Compile — validation and arena packing happen once
+// per Program, not once per run) is itself immutable and shared the
+// same way.
 func Run(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result, error) {
-	// The hierarchy axis selects the machine: the paper's shared SCC
-	// (below), per-processor private caches, or the two-level hybrid.
-	switch cfg.HierarchyKind() {
-	case sysmodel.HierarchyPrivate:
-		return RunPrivate(cfg, opts, prog)
-	case sysmodel.HierarchyHybrid:
-		return RunHybrid(cfg, opts, prog)
-	}
 	procs := cfg.Procs()
 	if prog.Procs != procs {
 		return nil, fmt.Errorf("sim: program %q generated for %d processors, config has %d",
 			prog.Name, prog.Procs, procs)
 	}
-	phases, comp, err := programPhases(prog, opts)
+	comp, err := trace.Compile(prog)
 	if err != nil {
 		return nil, err
 	}
@@ -823,20 +876,18 @@ func Run(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	if comp != nil {
-		s.bus.ReserveLines(reserveLines(comp.MaxLineIndex(), cfg.Line()))
-	}
-	clock := replay(phases, procs, s.res, s.tr, opts.WarmupRefs, s.warmupReset, s.access)
+	s.bus.ReserveLines(reserveLines(comp.MaxLineIndex(), cfg.Line()))
+	clock := replay(comp.Streams, procs, s.res, s.tr, opts.WarmupRefs, s.warmupReset, s.access)
+	return s.result(clock, comp.Refs())
+}
+
+// result closes a run: final statistics, the metrics flush and, with
+// verification enabled, the end-of-run audit against the trace's
+// expected reference count.
+func (s *system) result(clock []uint64, expectedRefs uint64) (*Result, error) {
 	s.finish(clock)
-	s.flushMetrics()
 	if s.ck != nil {
-		var exp uint64
-		if comp != nil {
-			exp = comp.Refs()
-		} else {
-			exp = countRefs(phases)
-		}
-		if err := s.verifyFinish(exp); err != nil {
+		if err := s.verifyFinish(expectedRefs); err != nil {
 			return nil, err
 		}
 	}
@@ -865,35 +916,22 @@ func reserveLines(maxLine16 uint32, lineBytes int) uint32 {
 	return uint32(n)
 }
 
-// countRefs counts the non-idle references of a stream table — the
-// expected Result.Refs when no compiled form carries the precomputed
-// total (LegacyReplay with verification enabled).
-func countRefs(phases [][][]mem.Ref) uint64 {
-	var n uint64
-	for _, streams := range phases {
-		for _, st := range streams {
-			for _, r := range st {
-				if r.Kind != mem.Idle {
-					n++
-				}
-			}
-		}
-	}
-	return n
-}
-
 // verifyFinish runs the checker's end-of-run audit against the
 // finished result; expectedRefs of 0 skips the trace-conservation check.
 func (s *system) verifyFinish(expectedRefs uint64) error {
-	err := s.ck.FinishRun(verify.Final{
+	f := verify.Final{
 		Cycles:           s.res.Cycles,
 		Refs:             s.res.Refs,
 		ExpectedRefs:     expectedRefs,
 		Cache:            s.res.SCC,
-		Bank:             s.res.SCCBank,
 		BankAccessCycles: sysmodel.BankAccessCycles,
-	})
-	if err != nil {
+	}
+	if s.sccs != nil {
+		// Private caches have no banks, so the bank-occupancy law only
+		// applies to SCCs.
+		f.Bank = s.res.SCCBank
+	}
+	if err := s.ck.FinishRun(f); err != nil {
 		return fmt.Errorf("sim: verification failed: %w", err)
 	}
 	return nil
@@ -935,7 +973,7 @@ func (r *Result) VerifyStats() verify.RunStats {
 }
 
 // finish copies final per-processor state and system statistics into the
-// result.
+// result and flushes the run's metrics.
 func (s *system) finish(clock []uint64) {
 	copy(s.res.ProcFinish, clock)
 	for _, t := range clock {
@@ -947,5 +985,18 @@ func (s *system) finish(clock []uint64) {
 		s.res.SCC[i] = sc.CacheStats()
 		s.res.SCCBank[i] = sc.Stats()
 	}
+	for p, c := range s.private {
+		// A private cache has no banks; its SCCBank entry is a degenerate
+		// single-bank record of its accesses.
+		s.res.SCC[p] = c.Stats()
+		s.res.SCCBank[p] = &scc.Stats{BankAccesses: []uint64{c.Stats().TotalAccesses()}}
+	}
+	if s.l1 != nil {
+		s.res.L1 = make([]*cache.Stats, len(s.l1Stats))
+		for p := range s.l1Stats {
+			s.res.L1[p] = &s.l1Stats[p]
+		}
+	}
 	s.res.Snoop = s.bus.Stats()
+	s.flushMetrics()
 }

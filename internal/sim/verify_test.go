@@ -63,24 +63,6 @@ func TestVerifyCleanRunIsTransparent(t *testing.T) {
 	}
 }
 
-// TestVerifyLegacyReplay exercises the countRefs path (no compiled form
-// to supply the expected reference total) and checks legacy-vs-compiled
-// equivalence under verification.
-func TestVerifyLegacyReplay(t *testing.T) {
-	p := sharingProg()
-	compiled, err := Run(cfg2(4096), Options{Verify: &verify.Options{}}, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := Run(cfg2(4096), Options{Verify: &verify.Options{}, LegacyReplay: true}, p)
-	if err != nil {
-		t.Fatalf("verified legacy run failed: %v", err)
-	}
-	if !reflect.DeepEqual(compiled, legacy) {
-		t.Fatal("legacy and compiled verified runs diverge")
-	}
-}
-
 func TestVerifyDeterminism(t *testing.T) {
 	p := sharingProg()
 	opts := Options{Verify: &verify.Options{}, VictimEntries: 4, WarmupRefs: 100}
@@ -148,7 +130,7 @@ func TestRunPrivateVerifyTransparent(t *testing.T) {
 func TestVerifyCatchesMidRunCorruption(t *testing.T) {
 	p := sharingProg()
 	opts := Options{Verify: &verify.Options{}}
-	phases, comp, err := programPhases(p, opts)
+	comp, err := trace.Compile(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +139,7 @@ func TestVerifyCatchesMidRunCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.bus.ReserveLines(comp.MaxLineIndex() + 1)
-	clock := replay(phases, 2, s.res, s.tr, 0, s.warmupReset, s.access)
+	clock := replay(comp.Streams, 2, s.res, s.tr, 0, s.warmupReset, s.access)
 	s.finish(clock)
 
 	var addr uint32
@@ -184,18 +166,32 @@ func TestVerifyCatchesMidRunCorruption(t *testing.T) {
 }
 
 // fuzzConfig maps arbitrary fuzz bytes onto a valid machine within the
-// oracle's modelled envelope.
-func fuzzConfig(clustersB, ppcB, sizeB, assocB uint8) sysmodel.Config {
+// oracle's modelled envelope. hierB picks the hierarchy (low bits), the
+// replacement policy and the hybrid L1 size; lineB the line size.
+func fuzzConfig(clustersB, ppcB, sizeB, assocB, hierB, lineB uint8) sysmodel.Config {
 	ppc := []int{1, 2, 4, 8}[int(ppcB)%4]
-	return sysmodel.Config{
+	line := []int{16, 8, 32, 64}[int(lineB)%4]
+	cfg := sysmodel.Config{
 		Clusters:        int(clustersB)%4 + 1,
 		ProcsPerCluster: ppc,
-		// 512 B .. 4 KB: at least as many lines as the largest bank count
-		// (8 procs * 4 banks), still a power-of-two set count.
-		SCCBytes:    sysmodel.LineSize * (32 << (int(sizeB) % 4)),
+		// 32..256 lines: at least as many lines as the largest bank count
+		// (8 procs * 4 banks), still a power-of-two set count, and at
+		// least 4 lines (one 4-way set) per private cache.
+		SCCBytes:    line * (32 << (int(sizeB) % 4)),
 		LoadLatency: sysmodel.ImpliedLoadLatency(ppc),
-		Assoc:       1 << (int(assocB) % 2),
+		Assoc:       1 << (int(assocB) % 3),
+		LineBytes:   line,
+		Hierarchy: []string{sysmodel.HierarchyShared, sysmodel.HierarchyPrivate,
+			sysmodel.HierarchyHybrid}[int(hierB)%3],
 	}
+	if hierB&0x40 != 0 {
+		cfg.Repl = sysmodel.ReplRandom
+	}
+	if cfg.Hierarchy == sysmodel.HierarchyHybrid {
+		// 2..8 lines per L1, so L1 conflicts and back-invalidations occur.
+		cfg.L1Bytes = line * (2 << (int(hierB>>2) % 3))
+	}
+	return cfg
 }
 
 // fuzzProgram deals the fuzz stream round-robin onto the processors,
@@ -227,47 +223,105 @@ func fuzzProgram(procs int, stream []byte) *trace.Program {
 }
 
 // FuzzSimConfig drives the verified simulator across fuzzed
-// configurations and programs and holds it to three oracles at once:
-// the invariant checker (any violation fails the run), determinism
-// (identical reruns), legacy-vs-compiled equivalence, and the naive
-// map-based model (exact statistics match).
+// configurations — every hierarchy, line size, associativity,
+// replacement policy, L1 size, write-buffer depth and victim-buffer
+// size — and programs, and holds it to three oracles at once: the
+// invariant checker (any violation fails the run), determinism
+// (identical reruns), and the naive map-based model (exact statistics
+// match; victim buffers are outside its scope, so that leg is skipped
+// when one is attached).
 func FuzzSimConfig(f *testing.F) {
-	f.Add(uint8(0), uint8(1), uint8(2), uint8(0), int8(0), []byte("sccsim"))
-	f.Add(uint8(1), uint8(2), uint8(0), uint8(1), int8(-1), []byte{0x40, 0x81, 0xc2, 0x03, 0xff, 0x7e, 0xbd})
-	f.Add(uint8(3), uint8(3), uint8(3), uint8(0), int8(1), []byte{0xc0, 0xc0, 0x41, 0x02})
-	f.Fuzz(func(t *testing.T, clustersB, ppcB, sizeB, assocB uint8, wbDepth int8, stream []byte) {
-		cfg := fuzzConfig(clustersB, ppcB, sizeB, assocB)
+	f.Add(uint8(0), uint8(1), uint8(2), uint8(0), uint8(0), uint8(0), int8(0), uint8(0), []byte("sccsim"))
+	f.Add(uint8(1), uint8(2), uint8(0), uint8(1), uint8(1), uint8(2), int8(-1), uint8(0), []byte{0x40, 0x81, 0xc2, 0x03, 0xff, 0x7e, 0xbd})
+	f.Add(uint8(3), uint8(3), uint8(3), uint8(0), uint8(2), uint8(1), int8(1), uint8(0), []byte{0xc0, 0xc0, 0x41, 0x02})
+	f.Add(uint8(1), uint8(1), uint8(1), uint8(2), uint8(0x46), uint8(3), int8(2), uint8(0), []byte("shared cluster cache"))
+	f.Add(uint8(2), uint8(1), uint8(0), uint8(1), uint8(0x44), uint8(0), int8(0), uint8(0), []byte{0x01, 0x41, 0xc1, 0x81, 0x01, 0x41})
+	f.Add(uint8(0), uint8(0), uint8(0), uint8(1), uint8(0), uint8(0), int8(0), uint8(6), []byte{0x01, 0x21, 0x01, 0x41, 0x21, 0x01})
+	f.Fuzz(func(t *testing.T, clustersB, ppcB, sizeB, assocB, hierB, lineB uint8, wbDepth int8, victimB uint8, stream []byte) {
+		cfg := fuzzConfig(clustersB, ppcB, sizeB, assocB, hierB, lineB)
 		p := fuzzProgram(cfg.Procs(), stream)
-		opts := Options{WriteBufferDepth: int(wbDepth), Verify: &verify.Options{}}
+		opts := Options{
+			WriteBufferDepth: int(wbDepth),
+			VictimEntries:    max(0, int(victimB%8)-4),
+			Verify:           &verify.Options{},
+		}
 
 		res, err := Run(cfg, opts, p)
 		if err != nil {
-			t.Fatalf("verified run failed on %v: %v", cfg, err)
+			t.Fatalf("verified run failed on %+v: %v", cfg, err)
 		}
 		again, err := Run(cfg, opts, p)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !reflect.DeepEqual(res, again) {
-			t.Fatalf("non-deterministic result on %v", cfg)
+			t.Fatalf("non-deterministic result on %+v", cfg)
 		}
-		legacyOpts := opts
-		legacyOpts.LegacyReplay = true
-		legacy, err := Run(cfg, legacyOpts, p)
-		if err != nil {
-			t.Fatalf("verified legacy run failed on %v: %v", cfg, err)
-		}
-		if !reflect.DeepEqual(res, legacy) {
-			t.Fatalf("legacy replay diverges on %v", cfg)
+		if opts.VictimEntries > 0 {
+			return
 		}
 
 		oracle, err := verify.RunOracle(cfg, p, verify.OracleOptions{WriteBufferDepth: int(wbDepth)})
 		if err != nil {
-			t.Fatalf("oracle failed on %v: %v", cfg, err)
+			t.Fatalf("oracle failed on %+v: %v", cfg, err)
 		}
 		rs := res.VerifyStats()
 		if diffs := verify.DiffRunStats(oracle, &rs); len(diffs) > 0 {
-			t.Fatalf("oracle divergence on %v: %s", cfg, strings.Join(diffs, "; "))
+			t.Fatalf("oracle divergence on %+v: %s", cfg, strings.Join(diffs, "; "))
+		}
+	})
+}
+
+// FuzzMultiprogConfig holds the quantum scheduler to the same oracles as
+// FuzzSimConfig on fuzzed one-cluster machines of every hierarchy: the
+// fuzz stream is dealt round-robin onto up to six independent processes
+// (reads, writes and idle gaps), scheduled with a fuzzed quantum and
+// context-switch penalty.
+func FuzzMultiprogConfig(f *testing.F) {
+	f.Add(uint8(2), uint8(1), uint8(0), uint8(0), uint8(0), uint8(3), uint8(5), []byte("multiprogramming"))
+	f.Add(uint8(1), uint8(0), uint8(1), uint8(1), uint8(2), uint8(5), uint8(0x41), []byte{0x01, 0x41, 0x81, 0x02, 0x42, 0x03})
+	f.Add(uint8(3), uint8(2), uint8(2), uint8(0x46), uint8(1), uint8(2), uint8(0xff), []byte("private L1 hybrid"))
+	f.Fuzz(func(t *testing.T, ppcB, sizeB, assocB, hierB, lineB, nB, quantumB uint8, stream []byte) {
+		cfg := fuzzConfig(0, ppcB, sizeB, assocB, hierB, lineB)
+		processes := make([]Process, int(nB)%6+1)
+		for i, b := range stream {
+			p := &processes[i%len(processes)]
+			addr := uint32(i%len(processes))<<12 | (uint32(b)&0x3f+1)*sysmodel.LineSize
+			switch b >> 6 {
+			case 0, 3:
+				p.Refs = append(p.Refs, rd(addr, uint16(b&3)))
+			case 1:
+				p.Refs = append(p.Refs, wr(addr, uint16(b&3)))
+			default:
+				p.Refs = append(p.Refs, mem.Ref{Kind: mem.Idle, Gap: uint16(b)})
+			}
+		}
+		quantum := uint64(quantumB&0x1f)*16 + 1
+		penalty := uint64(quantumB >> 5)
+		opts := Options{SwitchPenalty: penalty, Verify: &verify.Options{}}
+
+		res, err := RunMultiprog(cfg, opts, processes, quantum)
+		if err != nil {
+			t.Fatalf("verified run failed on %+v: %v", cfg, err)
+		}
+		again, err := RunMultiprog(cfg, opts, processes, quantum)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, again) {
+			t.Fatalf("non-deterministic result on %+v", cfg)
+		}
+		oprocs := make([]verify.Process, len(processes))
+		for i, p := range processes {
+			oprocs[i] = verify.Process{Name: p.Name, Refs: p.Refs}
+		}
+		oracle, err := verify.RunOracleMultiprog(cfg, oprocs, quantum, verify.OracleOptions{SwitchPenalty: penalty})
+		if err != nil {
+			t.Fatalf("oracle failed on %+v: %v", cfg, err)
+		}
+		rs := res.VerifyStats()
+		if diffs := verify.DiffRunStats(oracle, &rs); len(diffs) > 0 {
+			t.Fatalf("oracle divergence on %+v: %s", cfg, strings.Join(diffs, "; "))
 		}
 	})
 }

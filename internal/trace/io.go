@@ -60,6 +60,10 @@ func (p *Program) EncodeTo(w io.Writer) error {
 	return bw.Flush()
 }
 
+// maxStreamPrealloc caps the references ReadProgram reserves for one
+// stream before reading them (8 MiB of refs).
+const maxStreamPrealloc = 1 << 20
+
 // ReadProgram deserializes a program written by EncodeTo and validates it.
 func ReadProgram(r io.Reader) (*Program, error) {
 	br := bufio.NewReader(r)
@@ -130,16 +134,19 @@ func ReadProgram(r io.Reader) (*Program, error) {
 			if n > 1<<28 {
 				return nil, fmt.Errorf("trace: unreasonable stream length %d", n)
 			}
-			st := make([]mem.Ref, n)
+			// The length is untrusted: reserve at most maxStreamPrealloc
+			// refs up front and grow as data actually arrives, so a forged
+			// length cannot allocate gigabytes before the input runs out.
+			st := make([]mem.Ref, 0, min(n, maxStreamPrealloc))
 			for j := uint32(0); j < n; j++ {
 				if _, err := io.ReadFull(br, buf); err != nil {
 					return nil, err
 				}
-				st[j] = mem.Ref{
+				st = append(st, mem.Ref{
 					Addr: binary.LittleEndian.Uint32(buf[0:4]),
 					Gap:  binary.LittleEndian.Uint16(buf[4:6]),
 					Kind: mem.Kind(buf[6]),
-				}
+				})
 			}
 			ph.Streams[pr] = st
 		}

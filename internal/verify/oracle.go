@@ -825,9 +825,6 @@ func RunOracleMultiprog(cfg sysmodel.Config, processes []Process, quantum uint64
 	if quantum == 0 {
 		return nil, fmt.Errorf("verify: oracle: zero scheduler quantum")
 	}
-	if cfg.HierarchyKind() != sysmodel.HierarchyShared {
-		return nil, fmt.Errorf("verify: oracle: hierarchy %q is not supported for multiprogramming workloads", cfg.HierarchyKind())
-	}
 	nproc := cfg.Procs()
 	s, err := newOsys(cfg, nproc, o)
 	if err != nil {

@@ -480,11 +480,12 @@ func ResetTraceCache() { explorer.ResetTraceCache() }
 // shared-vs-private cluster cache argument.
 func RunPrivateCaches(w Workload, procsPerCluster, sccBytes int, s Scale) (*Point, error) {
 	cfg := sysmodel.Default(procsPerCluster, sccBytes)
+	cfg.Hierarchy = sysmodel.HierarchyPrivate
 	prog, err := explorer.GenerateParallel(w, cfg.Procs(), s)
 	if err != nil {
 		return nil, err
 	}
-	res, err := sim.RunPrivate(cfg, sim.Options{}, prog)
+	res, err := sim.Run(cfg, sim.Options{}, prog)
 	if err != nil {
 		return nil, err
 	}
