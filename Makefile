@@ -40,12 +40,14 @@ test-race:
 	$(GO) test -race -short ./internal/sim/... ./internal/explorer/... ./internal/costperf/... ./internal/trace/... ./internal/verify/... ./internal/serve/... .
 
 # Race-enabled run of the instrumentation layer, the engine that
-# drives it concurrently, and the HTTP service that shares one registry
-# across jobs — cheap enough to sit inside `make check`.
+# drives it concurrently, the HTTP service that shares one registry
+# across jobs, and the simulator and trace packages whose concurrent
+# runs all read one Program's streams — cheap enough to sit inside
+# `make check`.
 # -short keeps the explorer's full-grid oracle diff (which `test` runs
 # uninstrumented) to a representative pair of cache sizes here.
 race-obs:
-	$(GO) test -race -short ./internal/obs ./internal/explorer ./internal/serve
+	$(GO) test -race -short ./internal/obs ./internal/explorer ./internal/serve ./internal/sim ./internal/trace
 
 # Documentation contract: every exported identifier in the facade and
 # the serve package carries a doc comment, docs/API.md documents every

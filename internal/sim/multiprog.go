@@ -35,17 +35,22 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 	if quantum == 0 {
 		return nil, fmt.Errorf("sim: zero scheduler quantum")
 	}
-	nproc := cfg.Procs()
-	s, err := newSystem(cfg, opts, nproc)
+	s, err := newSystem(cfg, opts, cfg.Procs())
 	if err != nil {
 		return nil, err
 	}
+	return s.runMultiprog(processes, quantum)
+}
+
+// runMultiprog schedules the processes on the assembled machine.
+func (s *system) runMultiprog(processes []Process, quantum uint64) (*Result, error) {
+	nproc := len(s.agent)
 	// Size the flat presence table from the workload's footprint and
 	// count the non-idle references the verifier expects; one linear
 	// pass over the streams is negligible against the run.
 	var expRefs uint64
 	var maxLine uint32
-	shift := cfg.LineShift()
+	shift := s.cfg.LineShift()
 	for i := range processes {
 		for _, r := range processes[i].Refs {
 			if r.Kind == mem.Idle {
@@ -124,10 +129,20 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 		}
 	}
 
+	// ahead is the processor that keeps running without a heap round
+	// trip (-1: pop the heap). After a reference or a spin iteration, a
+	// processor whose next event still precedes every scheduled key runs
+	// ahead; isMin is the heap's own comparison, so the order is exactly
+	// that of a push and pop per reference. Process finish, quantum
+	// expiry and wake still go through the heap.
+	ahead := -1
 	for {
-		p, _ := h.next()
+		p := ahead
+		ahead = -1
 		if p < 0 {
-			break
+			if p, _ = h.next(); p < 0 {
+				break
+			}
 		}
 		pid := current[p]
 		if pid < 0 {
@@ -184,14 +199,22 @@ func RunMultiprog(cfg sysmodel.Config, opts Options, processes []Process, quantu
 			if retry {
 				// Spin iteration on a held lock: re-issue later.
 				clock[p] = t
-				h.add(p, t)
+				if h.isMin(p, t) {
+					ahead = p
+				} else {
+					h.add(p, t)
+				}
 				continue
 			}
 			s.res.Refs++
 		}
 		pos[pid]++
 		clock[p] = t
-		h.add(p, t)
+		if h.isMin(p, t) {
+			ahead = p
+		} else {
+			h.add(p, t)
+		}
 	}
 
 	// Close out idle accounting to the makespan.

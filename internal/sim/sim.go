@@ -34,6 +34,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"sccsim/internal/cache"
 	"sccsim/internal/mem"
@@ -113,7 +114,10 @@ func (o Options) wbDepth() int {
 	}
 }
 
-// Result is the outcome of one simulation run.
+// Result is the outcome of one simulation run. It owns all its data:
+// the statistics are snapshots copied out of the machine when the run
+// ends, so a retained Result (a sweep grid, a result cache entry) keeps
+// none of the run's caches, tag arrays or coherence state alive.
 type Result struct {
 	// Config is the design point that was simulated.
 	Config sysmodel.Config
@@ -726,7 +730,7 @@ func (s *sched) isMin(p int, t uint64) bool {
 // replay drives barrier-delimited phase streams through an access
 // function in global issue order, handling barriers and accounting into
 // res. phases is the per-phase, per-processor stream table (a compiled
-// program's arena views). The access function performs one memory
+// program's Streams). The access function performs one memory
 // reference for a processor at a time and returns when the processor
 // may proceed.
 // warmupAt, when nonzero, invokes reset exactly once, immediately after
@@ -859,7 +863,7 @@ func replay1(phases [][][]mem.Ref, res *Result, warmupAt uint64, reset func(),
 // must have exactly cfg.Procs() streams per phase. Run never mutates
 // prog, so concurrent Runs may share one Program (see the package
 // comment's concurrency contract); the compiled form a Run memoizes on
-// the program (trace.Compile — validation and arena packing happen once
+// the program (trace.Compile — validation and footprint counting happen once
 // per Program, not once per run) is itself immutable and shared the
 // same way.
 func Run(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result, error) {
@@ -876,8 +880,13 @@ func Run(cfg sysmodel.Config, opts Options, prog *trace.Program) (*Result, error
 	if err != nil {
 		return nil, err
 	}
-	s.bus.ReserveLines(reserveLines(comp.MaxLineIndex(), cfg.Line()))
-	clock := replay(comp.Streams, procs, s.res, s.tr, opts.WarmupRefs, s.warmupReset, s.access)
+	return s.run(comp)
+}
+
+// run replays a compiled program on the assembled machine.
+func (s *system) run(comp *trace.Compiled) (*Result, error) {
+	s.bus.ReserveLines(reserveLines(comp.MaxLineIndex(), s.cfg.Line()))
+	clock := replay(comp.Streams, len(s.agent), s.res, s.tr, s.opts.WarmupRefs, s.warmupReset, s.access)
 	return s.result(clock, comp.Refs())
 }
 
@@ -981,22 +990,35 @@ func (s *system) finish(clock []uint64) {
 			s.res.Cycles = t
 		}
 	}
+	// Snapshot the statistics into storage the Result owns: the
+	// machine's own stats records live inside its caches and bus, so
+	// pointing at them would keep every tag array and the presence table
+	// alive for as long as the Result is retained.
+	cs := make([]cache.Stats, len(s.res.SCC))
+	bs := make([]scc.Stats, len(s.res.SCCBank))
 	for i, sc := range s.sccs {
-		s.res.SCC[i] = sc.CacheStats()
-		s.res.SCCBank[i] = sc.Stats()
+		cs[i] = *sc.CacheStats()
+		bs[i] = *sc.Stats()
+		bs[i].BankAccesses = slices.Clone(bs[i].BankAccesses)
 	}
 	for p, c := range s.private {
 		// A private cache has no banks; its SCCBank entry is a degenerate
 		// single-bank record of its accesses.
-		s.res.SCC[p] = c.Stats()
-		s.res.SCCBank[p] = &scc.Stats{BankAccesses: []uint64{c.Stats().TotalAccesses()}}
+		cs[p] = *c.Stats()
+		bs[p] = scc.Stats{BankAccesses: []uint64{cs[p].TotalAccesses()}}
+	}
+	for i := range cs {
+		s.res.SCC[i] = &cs[i]
+		s.res.SCCBank[i] = &bs[i]
 	}
 	if s.l1 != nil {
-		s.res.L1 = make([]*cache.Stats, len(s.l1Stats))
-		for p := range s.l1Stats {
-			s.res.L1[p] = &s.l1Stats[p]
+		l1 := slices.Clone(s.l1Stats)
+		s.res.L1 = make([]*cache.Stats, len(l1))
+		for p := range l1 {
+			s.res.L1[p] = &l1[p]
 		}
 	}
-	s.res.Snoop = s.bus.Stats()
+	bus := *s.bus.Stats()
+	s.res.Snoop = &bus
 	s.flushMetrics()
 }

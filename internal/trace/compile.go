@@ -1,18 +1,20 @@
 package trace
 
 import (
+	"slices"
+
 	"sccsim/internal/mem"
 	"sccsim/internal/sysmodel"
 )
 
-// Compiled is the packed, immutable execution form of a Program: every
-// reference stream copied into one contiguous arena, with per-phase /
-// per-processor views into it and the footprint metadata the simulator
-// needs to size its coherence state up front. Compiling costs one linear
-// pass and one allocation; replaying a compiled program walks a single
-// cache-friendly slice instead of chasing per-stream allocations, and
-// the precomputed totals let Program.Refs and the presence-table sizing
-// skip their own passes over the trace.
+// Compiled is the execution form of a Program: per-phase, per-processor
+// views of the program's own streams plus the footprint metadata the
+// simulator needs to size its coherence state up front. Compiling costs
+// one validation pass and one counting pass and copies no reference: the
+// streams stay resident once, in the Program (Builder.Finish already
+// trimmed them to their length), and the precomputed totals let
+// Program.Refs and the presence-table sizing skip their own passes over
+// the trace.
 //
 // A Compiled is as immutable as the Program it came from: the simulator
 // and the sweep engine only read it, so one compiled program may back any
@@ -21,14 +23,13 @@ type Compiled struct {
 	// Name and Procs mirror the source program's header.
 	Name  string
 	Procs int
-	// Arena holds every ref of every stream, laid out phase-major then
-	// processor-major — the order replay consumes them in.
-	Arena []mem.Ref
 	// PhaseNames[i] is phase i's name.
 	PhaseNames []string
-	// Streams[i][p] is phase i / processor p's stream as a subslice of
-	// Arena. It is shaped exactly like Program.Phases[i].Streams, so
-	// consumers switch between the two forms without code changes.
+	// Streams[i][p] is Program.Phases[i].Streams[p] clipped to its
+	// length (cap == len, so an append by a consumer reallocates instead
+	// of writing into the program's backing array). It is shaped exactly
+	// like Program.Phases[i].Streams, so consumers switch between the two
+	// forms without code changes.
 	Streams [][][]mem.Ref
 	// StreamRefs[i][p] counts the memory references (excluding Idle) in
 	// phase i / processor p's stream.
@@ -47,10 +48,10 @@ func (c *Compiled) Refs() uint64 { return c.refs }
 // bus's direct-indexed presence table (see snoop.Bus.ReserveLines).
 func (c *Compiled) MaxLineIndex() uint32 { return c.maxLine }
 
-// Compile validates and packs the program. The result is memoized on the
-// Program (safely for concurrent callers), so every design point of a
-// sweep that shares one cached trace also shares one compiled form and
-// pays for validation and packing exactly once.
+// Compile validates the program and indexes its streams. The result is
+// memoized on the Program (safely for concurrent callers), so every
+// design point of a sweep that shares one cached trace also shares one
+// compiled form and pays for validation and counting exactly once.
 func Compile(p *Program) (*Compiled, error) {
 	if c := p.compiled.Load(); c != nil {
 		return c, nil
@@ -58,16 +59,9 @@ func Compile(p *Program) (*Compiled, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	total := 0
-	for _, ph := range p.Phases {
-		for _, st := range ph.Streams {
-			total += len(st)
-		}
-	}
 	c := &Compiled{
 		Name:       p.Name,
 		Procs:      p.Procs,
-		Arena:      make([]mem.Ref, 0, total),
 		PhaseNames: make([]string, len(p.Phases)),
 		Streams:    make([][][]mem.Ref, len(p.Phases)),
 		StreamRefs: make([][]uint64, len(p.Phases)),
@@ -77,11 +71,7 @@ func Compile(p *Program) (*Compiled, error) {
 		c.Streams[i] = make([][]mem.Ref, len(ph.Streams))
 		c.StreamRefs[i] = make([]uint64, len(ph.Streams))
 		for pr, st := range ph.Streams {
-			start := len(c.Arena)
-			c.Arena = append(c.Arena, st...)
-			// Full-capacity subslice so an (impossible) append by a
-			// consumer cannot bleed into the next stream.
-			c.Streams[i][pr] = c.Arena[start:len(c.Arena):len(c.Arena)]
+			c.Streams[i][pr] = slices.Clip(st)
 			var n uint64
 			for _, r := range st {
 				if r.Kind == mem.Idle {
@@ -97,7 +87,7 @@ func Compile(p *Program) (*Compiled, error) {
 		}
 	}
 	// First compile wins; concurrent compilers of the same program
-	// produce identical packings, so either result is fine to share.
+	// produce identical views, so either result is fine to share.
 	if !p.compiled.CompareAndSwap(nil, c) {
 		return p.compiled.Load(), nil
 	}

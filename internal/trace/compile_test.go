@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"reflect"
 	"testing"
 
 	"sccsim/internal/mem"
@@ -9,18 +8,20 @@ import (
 )
 
 // compileFixture builds a small two-phase, two-processor program with
-// idle refs, uneven streams, and a known footprint.
+// idle refs, uneven streams, a known footprint, and one stream with
+// spare capacity (as a hand-built program may have) that compiling must
+// clip.
 func compileFixture() *Program {
 	return &Program{
 		Name:  "fixture",
 		Procs: 2,
 		Phases: []Phase{
 			{Name: "build", Streams: [][]mem.Ref{
-				{
-					{Addr: 0x100, Kind: mem.Read, Gap: 3},
-					{Kind: mem.Idle, Gap: 7},
-					{Addr: 0x2000, Kind: mem.Write},
-				},
+				append(make([]mem.Ref, 0, 8),
+					mem.Ref{Addr: 0x100, Kind: mem.Read, Gap: 3},
+					mem.Ref{Kind: mem.Idle, Gap: 7},
+					mem.Ref{Addr: 0x2000, Kind: mem.Write},
+				),
 				{
 					{Addr: 0x110, Kind: mem.Read},
 				},
@@ -46,25 +47,24 @@ func TestCompileLayoutAndMetadata(t *testing.T) {
 	if c.Name != p.Name || c.Procs != p.Procs {
 		t.Fatalf("header mismatch: %q/%d vs %q/%d", c.Name, c.Procs, p.Name, p.Procs)
 	}
-	if got, want := len(c.Arena), 3+1+0+3; got != want {
-		t.Fatalf("arena has %d refs, want %d", got, want)
-	}
-	// Streams must mirror the program's slices value-for-value and be
-	// views into the arena, laid out phase-major then processor-major.
-	off := 0
+	// Streams must be the program's own slices, clipped to their length
+	// (so an append through a view cannot write into the program):
+	// compiling copies no reference.
 	for i, ph := range p.Phases {
 		if c.PhaseNames[i] != ph.Name {
 			t.Errorf("phase %d name %q, want %q", i, c.PhaseNames[i], ph.Name)
 		}
 		for pr, st := range ph.Streams {
 			got := c.Streams[i][pr]
-			if !reflect.DeepEqual(append([]mem.Ref{}, got...), append([]mem.Ref{}, st...)) {
-				t.Errorf("phase %d proc %d stream differs from source", i, pr)
+			if len(got) != len(st) {
+				t.Fatalf("phase %d proc %d stream has %d refs, want %d", i, pr, len(got), len(st))
 			}
-			if len(got) > 0 && &got[0] != &c.Arena[off] {
-				t.Errorf("phase %d proc %d stream is not an arena view at offset %d", i, pr, off)
+			if len(got) > 0 && &got[0] != &st[0] {
+				t.Errorf("phase %d proc %d stream is a copy, not the program's stream", i, pr)
 			}
-			off += len(st)
+			if cap(got) != len(got) {
+				t.Errorf("phase %d proc %d stream has cap %d for len %d", i, pr, cap(got), len(got))
+			}
 		}
 	}
 	// Footprint metadata: 6 non-idle refs, max line from 0x9000.

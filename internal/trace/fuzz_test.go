@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"sccsim/internal/mem"
+	"sccsim/internal/sysmodel"
 )
 
 // FuzzTraceRoundTrip feeds arbitrary bytes to the binary trace reader.
@@ -41,5 +44,48 @@ func FuzzTraceRoundTrip(f *testing.F) {
 		if p2.Name != p.Name || p2.Procs != p.Procs || !reflect.DeepEqual(p2.Phases, p.Phases) {
 			t.Fatal("round trip changed the program")
 		}
+		checkCompiled(t, p)
 	})
+}
+
+// checkCompiled compiles an accepted program and checks the compiled
+// views and their metadata against a naive count over the program's
+// streams.
+func checkCompiled(t *testing.T, p *Program) {
+	t.Helper()
+	c, err := Compile(p)
+	if err != nil {
+		t.Fatalf("a program ReadProgram accepted failed to compile: %v", err)
+	}
+	var refs uint64
+	var maxLine uint32
+	for i, ph := range p.Phases {
+		if c.PhaseNames[i] != ph.Name {
+			t.Fatalf("phase %d name %q, want %q", i, c.PhaseNames[i], ph.Name)
+		}
+		for pr, st := range ph.Streams {
+			got := c.Streams[i][pr]
+			if len(got) != len(st) || cap(got) != len(got) || (len(st) > 0 && &got[0] != &st[0]) {
+				t.Fatalf("phase %d proc %d: compiled stream is not the program's, clipped", i, pr)
+			}
+			var n uint64
+			for _, r := range st {
+				if r.Kind == mem.Idle {
+					continue
+				}
+				n++
+				maxLine = max(maxLine, r.Addr/sysmodel.LineSize)
+			}
+			if c.StreamRefs[i][pr] != n {
+				t.Fatalf("StreamRefs[%d][%d] = %d, want %d", i, pr, c.StreamRefs[i][pr], n)
+			}
+			refs += n
+		}
+	}
+	if c.Refs() != refs || p.Refs() != refs {
+		t.Fatalf("Refs: compiled %d, program %d, want %d", c.Refs(), p.Refs(), refs)
+	}
+	if c.MaxLineIndex() != maxLine {
+		t.Fatalf("MaxLineIndex = %d, want %d", c.MaxLineIndex(), maxLine)
+	}
 }

@@ -137,10 +137,15 @@ func ReadProgram(r io.Reader) (*Program, error) {
 			// The length is untrusted: reserve at most maxStreamPrealloc
 			// refs up front and grow as data actually arrives, so a forged
 			// length cannot allocate gigabytes before the input runs out.
+			// Growth is capped at n, so a stream that does arrive in
+			// full ends with cap == len, like Builder.Finish's.
 			st := make([]mem.Ref, 0, min(n, maxStreamPrealloc))
 			for j := uint32(0); j < n; j++ {
 				if _, err := io.ReadFull(br, buf); err != nil {
 					return nil, err
+				}
+				if len(st) == cap(st) {
+					st = append(make([]mem.Ref, 0, min(int(n), 2*cap(st))), st...)
 				}
 				st = append(st, mem.Ref{
 					Addr: binary.LittleEndian.Uint32(buf[0:4]),

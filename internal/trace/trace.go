@@ -44,7 +44,7 @@ type Program struct {
 	// Phases in execution order.
 	Phases []Phase
 
-	// compiled memoizes the packed form built by Compile. Only Compile
+	// compiled memoizes the index built by Compile. Only Compile
 	// writes it (and only after successful validation); read-only
 	// operations like Validate and Refs never populate it, so they remain
 	// side-effect free. Programs must be shared by pointer — the atomic
@@ -197,7 +197,10 @@ func (b *Builder) WriteRegion(addr, size uint32) {
 }
 
 // Finish returns the accumulated stream. Any trailing compute is emitted
-// as Idle refs so barrier timing sees it.
+// as Idle refs so barrier timing sees it. The stream is trimmed to its
+// length (cap == len): the builder's append slack would otherwise stay
+// resident for as long as the Program does, and the Program's streams are
+// the only copy of the trace (Compile indexes them in place).
 func (b *Builder) Finish() []mem.Ref {
 	if b.gap > 0 {
 		for b.gap > 0xffff {
@@ -208,6 +211,9 @@ func (b *Builder) Finish() []mem.Ref {
 		b.gap = 0
 	}
 	r := b.refs
+	if cap(r) > len(r) {
+		r = append(make([]mem.Ref, 0, len(r)), r...)
+	}
 	b.refs = nil
 	return r
 }

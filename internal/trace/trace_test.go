@@ -99,6 +99,29 @@ func TestFinishResetsBuilder(t *testing.T) {
 	}
 }
 
+// TestFinishLeavesNoSlack: whatever the size hint, and however far
+// append grew the buffer past it, the finished stream's capacity is its
+// length — the Program keeps only the refs.
+func TestFinishLeavesNoSlack(t *testing.T) {
+	for _, hint := range []int{0, 1, 100, 1 << 12} {
+		for _, n := range []int{0, 1, 99, 100, 101, 3000} {
+			b := NewBuilder(hint)
+			for i := 0; i < n; i++ {
+				b.Read(uint32(0x40 + i*16))
+			}
+			b.Compute(0x10000) // trailing compute: two Idle refs
+			refs := b.Finish()
+			if len(refs) != n+2 || cap(refs) != len(refs) {
+				t.Errorf("hint %d, %d reads: len %d cap %d, want len %d and cap == len",
+					hint, n, len(refs), cap(refs), n+2)
+			}
+			if n > 0 && refs[n-1].Addr != uint32(0x40+(n-1)*16) {
+				t.Errorf("hint %d, %d reads: last read at %#x", hint, n, refs[n-1].Addr)
+			}
+		}
+	}
+}
+
 func validProgram() *Program {
 	return &Program{
 		Name:  "test",
